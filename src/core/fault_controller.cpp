@@ -13,16 +13,6 @@ std::string coord(ChipCoord c) {
   return std::to_string(c.x) + "," + std::to_string(c.y);
 }
 
-obs::Counter& faults_metric() {
-  static obs::Counter& c = obs::Registry::global().counter("fault.executed");
-  return c;
-}
-obs::Counter& migrations_metric() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("fault.migrations");
-  return c;
-}
-
 }  // namespace
 
 std::string describe(const FaultAction& a) {
@@ -50,7 +40,9 @@ FaultController::FaultController(System& system, const neural::Network& net,
       placement_(placement),
       mapper_(mapper),
       run_base_(run_base),
-      seed_(seed) {}
+      seed_(seed),
+      executed_metric_(system.registry().counter("fault.executed")),
+      migrations_metric_(system.registry().counter("fault.migrations")) {}
 
 FaultController::~FaultController() = default;
 
@@ -73,7 +65,7 @@ void FaultController::execute(std::size_t index) {
   // clock), so the fault → quiesce → migrate → resume event structure is
   // bit-identical across serial, sharded and wire-driven executions of
   // the same scenario — the determinism contract extended to the trace.
-  faults_metric().inc();
+  executed_metric_.inc();
   obs::Tracer::global().instant("fault", "fault.inject", r.executed_at,
                                 "index", index, /*virtual_clock=*/true);
   switch (r.action.kind) {
@@ -83,7 +75,7 @@ void FaultController::execute(std::size_t index) {
     case FaultAction::Kind::HealLink: heal_link(index); break;
   }
   if (r.migrations > 0) {
-    migrations_metric().inc(r.migrations);
+    migrations_metric_.inc(r.migrations);
     obs::Tracer::global().complete(
         "fault", "fault.migrate", r.executed_at,
         std::max<TimeNs>(r.recovery_ns, 1), "migrations", r.migrations,

@@ -165,6 +165,9 @@ class FaultController {
   bool failure_reported_ = false;
   std::vector<FaultRecord> records_;
   std::vector<Sidecar> sidecars_;
+  /// fault.executed / fault.migrations in the system's registry.
+  obs::Counter& executed_metric_;
+  obs::Counter& migrations_metric_;
 };
 
 }  // namespace spinn

@@ -9,13 +9,17 @@ namespace spinn {
 
 System::System(const SystemConfig& cfg)
     : cfg_(cfg),
-      owned_engine_(sim::make_engine(cfg.engine, cfg.machine.seed)),
+      owned_registry_(std::make_unique<obs::Registry>()),
+      registry_(*owned_registry_),
+      owned_engine_(
+          sim::make_engine(cfg.engine, cfg.machine.seed, registry_)),
       engine_(owned_engine_.get()) {
   machine_ = std::make_unique<mesh::Machine>(*engine_, cfg_.machine);
 }
 
-System::System(const SystemConfig& cfg, sim::ISimulationEngine& engine)
-    : cfg_(cfg), engine_(&engine) {
+System::System(const SystemConfig& cfg, sim::ISimulationEngine& engine,
+               obs::Registry& metrics)
+    : cfg_(cfg), registry_(metrics), engine_(&engine) {
   // Re-entrant setup: whatever the engine ran before, a reset makes it
   // bit-indistinguishable from a new one before the machine wires into it.
   engine_->reset(cfg_.machine.seed);

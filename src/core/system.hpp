@@ -26,6 +26,7 @@
 #include "mesh/machine.hpp"
 #include "neural/network.hpp"
 #include "neural/spike_record.hpp"
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 #include "sim/simulator.hpp"
 
@@ -40,6 +41,8 @@ struct SystemConfig {
 
 class System {
  public:
+  /// Owns its engine and the registry that engine (and any fault
+  /// controller on this system) reports into.
   explicit System(const SystemConfig& cfg = SystemConfig{});
 
   /// Build a system around a *borrowed* engine (e.g. a lease from the
@@ -49,7 +52,10 @@ class System {
   /// sharded worker-thread pool) are reused across systems.  The caller
   /// keeps ownership and must keep the engine alive for the System's
   /// lifetime; cfg.engine is ignored (the engine already exists).
-  System(const SystemConfig& cfg, sim::ISimulationEngine& engine);
+  /// `metrics` is the engine owner's registry, shared by this system's
+  /// fault controller.
+  System(const SystemConfig& cfg, sim::ISimulationEngine& engine,
+         obs::Registry& metrics);
 
   ~System();
 
@@ -62,6 +68,8 @@ class System {
   mesh::Machine& machine() { return *machine_; }
   const mesh::Machine& machine() const { return *machine_; }
   TimeNs now() const { return engine_->now(); }
+  /// Where this system's engine and fault controller report.
+  obs::Registry& registry() { return registry_; }
 
   /// Run the distributed boot sequence (§5.2) to completion and return the
   /// report.  Optional: load() works on an unbooted machine too (the
@@ -92,6 +100,9 @@ class System {
   neural::SpikeRecorder* recording_sink();
 
   SystemConfig cfg_;
+  /// Set only by the owning constructor; outlives the engine.
+  std::unique_ptr<obs::Registry> owned_registry_;
+  obs::Registry& registry_;
   /// Set only by the owning constructor; borrowed engines stay with their
   /// owner.  Declared before engine_ so the raw pointer never dangles.
   std::unique_ptr<sim::ISimulationEngine> owned_engine_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "chip/core.hpp"
+#include "obs/registry.hpp"
 #include "sim/stats.hpp"
 
 namespace spinn::core {
@@ -43,18 +44,19 @@ class TrafficSource final : public chip::CoreProgram {
   std::uint64_t sent_ = 0;
 };
 
-/// Records end-to-end latency (launch -> core delivery) of every packet it
-/// receives into a shared histogram.
+/// Records end-to-end latency (launch -> core delivery, ns) of every packet
+/// it receives: the distribution into a shared histogram, exact mean and
+/// max into a shared summary.
 class LatencyProbe final : public chip::CoreProgram {
  public:
-  explicit LatencyProbe(sim::Histogram* histogram)
-      : histogram_(histogram) {}
+  LatencyProbe(obs::Histogram& histogram, sim::Summary& summary)
+      : histogram_(histogram), summary_(summary) {}
 
   std::uint64_t on_packet(chip::CoreApi& api,
                           const router::Packet& p) override {
-    if (histogram_ != nullptr) {
-      histogram_->add(static_cast<double>(api.now() - p.launched_at));
-    }
+    const TimeNs latency = api.now() - p.launched_at;
+    histogram_.observe(latency);
+    summary_.add(static_cast<double>(latency));
     ++received_;
     return 25;
   }
@@ -62,7 +64,8 @@ class LatencyProbe final : public chip::CoreProgram {
   std::uint64_t received() const { return received_; }
 
  private:
-  sim::Histogram* histogram_;
+  obs::Histogram& histogram_;
+  sim::Summary& summary_;
   std::uint64_t received_ = 0;
 };
 

@@ -5,10 +5,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <limits>
 #include <cstring>
-#include <string_view>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -1002,62 +1000,16 @@ bool Request::advance() {
   return true;
 }
 
-std::string format_metrics(const NetStats& net,
-                           const server::ServerStats& srv) {
-  // Two sections, one stability contract each: the derived `net.*` /
-  // `server.*` fields are pinned in this order (append-only, like
-  // `netstats`); the registry rows after them are sorted by name, so a new
-  // metric inserts without reordering what a client already parses.
-  // Scrapes arrive continuously (1 Hz pollers and worse), so the builder
-  // is deliberately allocation-light: string_view literals for the pinned
-  // rows, one reserve for the whole response, no per-row temporaries.
-  const std::pair<std::string_view, std::uint64_t> pinned[] = {
-      {"net.accepted", net.accepted},
-      {"net.refused", net.refused},
-      {"net.shed_slow", net.shed_slow},
-      {"net.shed_flood", net.shed_flood},
-      {"net.frames_in", net.frames_in},
-      {"net.frames_out", net.frames_out},
-      {"net.batches", net.batches},
-      {"net.faults", net.faults},
-      {"net.bytes_in", net.bytes_in},
-      {"net.bytes_out", net.bytes_out},
-      {"net.connections", net.connections},
-      {"net.reactors", net.reactors},
-      {"server.opened", srv.opened},
-      {"server.rejected", srv.rejected},
-      {"server.rejected_cost", srv.rejected_cost},
-      {"server.closed", srv.closed},
-      {"server.evicted", srv.evicted},
-      {"server.resident", srv.resident},
-      {"server.cost_resident", srv.cost_resident},
-      {"server.cost_budget", srv.cost_budget},
-      {"server.queue_depth", srv.queue_depth},
-      {"server.engines.created", srv.engines.created},
-      {"server.engines.reused", srv.engines.reused},
-      {"server.engines.idle", srv.engines.idle},
-  };
-  const auto registry_rows = obs::Registry::global().rows();
-  const std::size_t total = std::size(pinned) + registry_rows.size();
-  std::string out;
-  out.reserve(16 + 40 * total);
-  char digits[20];
-  const auto append_u64 = [&digits, &out](std::uint64_t v) {
-    const auto [end, ec] =
-        std::to_chars(digits, digits + sizeof digits, v);
-    (void)ec;  // u64 always fits 20 digits
-    out.append(digits, end);
-  };
-  out += "metrics ";
-  append_u64(total);
-  const auto append_row = [&](std::string_view name, std::uint64_t value) {
+std::string format_metrics(const obs::Registry& registry) {
+  const auto rows = registry.rows();
+  std::string out = "metrics " + std::to_string(rows.size());
+  out.reserve(40 * rows.size());  // one allocation: scrapes arrive often
+  for (const auto& [name, value] : rows) {
     out += '\n';
     out += name;
     out += ' ';
-    append_u64(value);
-  };
-  for (const auto& [name, value] : pinned) append_row(name, value);
-  for (const auto& [name, value] : registry_rows) append_row(name, value);
+    out += std::to_string(value);
+  }
   return out;
 }
 

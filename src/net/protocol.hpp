@@ -106,7 +106,7 @@ class Request {
   std::size_t commands() const { return lines_.size(); }
 
   /// Fault actions this request put onto session schedules (the reactor
-  /// folds it into NetStats::faults).
+  /// counts them as net.faults).
   std::size_t faults_scheduled() const { return faults_scheduled_; }
 
  private:
@@ -155,18 +155,15 @@ bool parse_spikes(const std::string& block,
 /// Parse `ok id=<id>`.  False (id untouched) for any other response.
 bool parse_open_id(const std::string& response, server::SessionId* id);
 
-/// Render the `netstats` verb's response line from an aggregated NetStats
-/// (the reactor answering the verb passes NetServer::stats(), which sums
-/// every reactor's counter shard).
+/// Render the `netstats` verb's response line from a NetServer::stats()
+/// snapshot.
 std::string format_netstats(const NetStats& stats);
 
 /// Render the `metrics` verb's response: `metrics <n>` then n `name value`
-/// lines.  The transport/server derived fields come first in pinned order
-/// (`net.*` from the aggregated NetStats, `server.*` from ServerStats —
-/// the same append-only stability contract as `netstats`), followed by the
-/// process-wide obs::Registry rows sorted by name (histograms expand to
-/// `.count/.p50/.p95/.p99`).  docs/OBSERVABILITY.md holds the transcript.
-std::string format_metrics(const NetStats& net, const server::ServerStats& srv);
+/// lines — every row of the server's registry, sorted by name (histograms
+/// expand to `.count/.p50/.p95/.p99`).  docs/OBSERVABILITY.md holds the
+/// transcript and the name catalogue.
+std::string format_metrics(const obs::Registry& registry);
 
 /// Execute a `trace start|stop|dump` command line against the process-wide
 /// obs::Tracer and return the response block: `ok trace on|off`, a Chrome

@@ -150,9 +150,6 @@ struct Reactor::Impl {
   /// the listener leaves the epoll set until the deadline passes.
   bool accept_paused = false;
   std::chrono::steady_clock::time_point accept_resume{};
-
-  mutable Mutex stats_mu;
-  NetStats stats SPINN_GUARDED_BY(stats_mu);
 };
 
 Reactor::Reactor(NetServer& server, std::size_t index)
@@ -196,11 +193,6 @@ void Reactor::adopt(Fd client) {
   impl_->wakeup->notify();
 }
 
-NetStats Reactor::stats_shard() const {
-  MutexLock lk(&impl_->stats_mu);
-  return impl_->stats;
-}
-
 std::function<void()> Reactor::wake_fn() const {
   return [wk = impl_->wakeup] { wk->notify(); };
 }
@@ -210,16 +202,10 @@ void Reactor::loop() {
   const NetConfig& cfg = srv_.cfg_;
   server::SessionServer& sessions = srv_.sessions_;
   const bool accepting = index_ == 0;
-  // Telemetry handles, resolved once per reactor: registration is the cold
-  // locked path, the references are stable for the registry's life, and
-  // observing through them is lock-free (docs/OBSERVABILITY.md).
-  obs::Histogram& req_hist = obs::Registry::global().histogram(
-      "net.request_ns", 0, 100'000'000, 2000);
+  // The server's registry handles, resolved once at its construction;
+  // every update through them is lock-free (docs/OBSERVABILITY.md).
+  NetServer::Metrics& m = srv_.metrics_;
   obs::Tracer& tracer = obs::Tracer::global();
-  const auto bump = [&](auto member, std::uint64_t by = 1) {
-    MutexLock lk(&im.stats_mu);
-    im.stats.*member += by;
-  };
   std::vector<std::uint64_t> doomed;
 
   // Retire the connection: either its responses can no longer be delivered
@@ -228,15 +214,11 @@ void Reactor::loop() {
   // callbacks may still fire for it later; their conn id simply no longer
   // resolves.  The live-connection gauge drops here, not at the erase, so
   // `netstats` answered mid-iteration never counts doomed entries.
-  const auto shed = [&](Impl::Conn& conn, std::uint64_t NetStats::*counter) {
+  const auto shed = [&](Impl::Conn& conn, obs::Counter* counter) {
     if (conn.dead) return;
     conn.dead = true;
-    if (counter != nullptr) bump(counter);
-    {
-      MutexLock lk(&im.stats_mu);
-      --im.stats.connections;
-    }
-    srv_.open_conns_.fetch_sub(1, std::memory_order_relaxed);
+    if (counter != nullptr) counter->inc();
+    m.connections.add(-1);
     doomed.push_back(conn.id);
   };
 
@@ -282,7 +264,7 @@ void Reactor::loop() {
   // only a reader that actually stopped gets shed.
   const auto over_backlog = [&](Impl::Conn& conn, std::size_t frame_bytes) {
     if (frame_bytes > cfg.max_write_buffer) {
-      shed(conn, &NetStats::shed_slow);
+      shed(conn, &m.shed_slow);
       return true;
     }
     if (conn.outbox.size() - conn.out_pos <= cfg.max_write_buffer) {
@@ -290,7 +272,7 @@ void Reactor::loop() {
     }
     if (!flush(conn)) return true;  // peer already gone
     if (conn.outbox.size() - conn.out_pos > cfg.max_write_buffer) {
-      shed(conn, &NetStats::shed_slow);
+      shed(conn, &m.shed_slow);
       return true;
     }
     return false;
@@ -306,9 +288,8 @@ void Reactor::loop() {
         if (conn.inbox.empty()) return true;
         // `netstats`, `metrics` and `trace` are the transport's own
         // verbs — answered by the reactor, invisible to the session layer
-        // (and not batchable).  The counter dumps aggregate every
-        // reactor's shard (srv_.stats() snapshots one shard's stats lock
-        // at a time, never two at once).
+        // (and not batchable).  The counter dumps read the server's
+        // registry, which every reactor updates lock-free.
         const std::string& front = conn.inbox.front();
         const bool is_trace =
             front == "trace" || front.rfind("trace ", 0) == 0;
@@ -317,42 +298,35 @@ void Reactor::loop() {
           if (front == "netstats") {
             resp = format_netstats(srv_.stats());
           } else if (front == "metrics") {
-            resp = format_metrics(srv_.stats(), sessions.stats());
+            resp = format_metrics(sessions.registry());
           } else {
             resp = handle_trace(front, cfg.allow_trace);
           }
           conn.inbox.pop_front();
           append_frame(conn.outbox, resp);
-          {
-            // One lock acquisition for the correlated counters, so a
-            // concurrent scrape can never see the frame counted but its
-            // bytes missing (or vice versa).
-            MutexLock lk(&im.stats_mu);
-            im.stats.frames_out += 1;
-            im.stats.bytes_out += kFrameHeader + resp.size();
-          }
+          // Bytes before frame (see the response path below).
+          m.bytes_out.inc(kFrameHeader + resp.size());
+          m.frames_out.inc();
           if (over_backlog(conn, kFrameHeader + resp.size())) return false;
           continue;
         }
         conn.active = std::make_unique<Request>(sessions, conn.inbox.front());
         conn.active_start_ns = WallClock::now_ns();
         conn.inbox.pop_front();
-        if (conn.active->commands() > 1) bump(&NetStats::batches);
+        if (conn.active->commands() > 1) m.batches.inc();
       }
       if (conn.active->advance()) {
         const std::string& resp = conn.active->response();
         append_frame(conn.outbox, resp);
-        {
-          // Correlated counters under one acquisition (see above): a
-          // scrape sees this response's frame, bytes and faults together
-          // or not at all.
-          MutexLock lk(&im.stats_mu);
-          im.stats.frames_out += 1;
-          im.stats.bytes_out += kFrameHeader + resp.size();
-          im.stats.faults += conn.active->faults_scheduled();
-        }
+        // Torn-total protocol: count a frame's bytes (and faults) before
+        // the frame.  inc() releases, a scrape acquires frames_out before
+        // bytes_out (NetServer::Metrics), so any frame it counts has its
+        // bytes counted too — with no lock shared with the scraper.
+        m.bytes_out.inc(kFrameHeader + resp.size());
+        m.faults.inc(conn.active->faults_scheduled());
+        m.frames_out.inc();
         const std::int64_t now_ns = WallClock::now_ns();
-        req_hist.observe(now_ns - conn.active_start_ns);
+        m.request_ns.observe(now_ns - conn.active_start_ns);
         tracer.complete("net", "net.request", conn.active_start_ns,
                         now_ns - conn.active_start_ns, "commands",
                         conn.active->commands());
@@ -396,17 +370,12 @@ void Reactor::loop() {
                          frame.size());
           conn.inbox.push_back(std::move(frame));
         }
-        {
-          // The recv's bytes and the frames decoded from them land under
-          // one lock acquisition, so a concurrent scrape never sees the
-          // bytes counted with their frames missing (the torn-total bug
-          // this grouping fixed).
-          MutexLock lk(&im.stats_mu);
-          im.stats.bytes_in += static_cast<std::uint64_t>(got);
-          im.stats.frames_in += frames;
-        }
+        // The recv's bytes before the frames decoded from them: the same
+        // torn-total protocol as the response path in pump().
+        m.bytes_in.inc(static_cast<std::uint64_t>(got));
+        m.frames_in.inc(frames);
         if (conn.dec.overflowed() || conn.inbox.size() > cfg.max_pipeline) {
-          shed(conn, &NetStats::shed_flood);
+          shed(conn, &m.shed_flood);
           return false;
         }
         continue;
@@ -467,8 +436,6 @@ void Reactor::loop() {
         cid, Impl::Conn(std::move(client), cid, cfg.max_frame));
     im.ep.add(fd, EPOLLIN, cid);
     it->second.events = EPOLLIN;
-    MutexLock lk(&im.stats_mu);
-    ++im.stats.connections;
   };
 
   // Take ownership of connections the accepting reactor dealt to us.
@@ -495,20 +462,20 @@ void Reactor::loop() {
         if (aerr == EINTR || aerr == ECONNABORTED || aerr == EPROTO) {
           continue;  // this connection failed; the next may be fine
         }
-        bump(&NetStats::refused);
+        m.refused.inc();
         im.accept_paused = true;
         im.accept_resume = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(kAcceptBackoffMs);
         im.ep.del(srv_.listener_.get());
         break;
       }
-      if (srv_.open_conns_.load(std::memory_order_relaxed) >=
-          cfg.max_connections) {
-        bump(&NetStats::refused);
+      if (m.connections.value() >=
+          static_cast<std::int64_t>(cfg.max_connections)) {
+        m.refused.inc();
         continue;  // Fd destructor closes: refusal is the message
       }
-      srv_.open_conns_.fetch_add(1, std::memory_order_relaxed);
-      bump(&NetStats::accepted);
+      m.connections.add(1);
+      m.accepted.inc();
       const std::size_t target =
           srv_.next_reactor_.fetch_add(1, std::memory_order_relaxed) %
           srv_.reactors_.size();
@@ -648,23 +615,19 @@ void Reactor::loop() {
     sync_masks();
   }
 
-  // Loop exit: release the gauges for everything this shard still holds —
+  // Loop exit: release the gauge for everything this reactor still holds —
   // live connections and any handoffs never adopted.
-  std::size_t leftover = 0;
+  std::int64_t leftover = 0;
   for (const auto& [id, conn] : im.conns) {
     if (!conn.dead) ++leftover;
   }
   {
     MutexLock lk(&im.handoff_mu);
-    leftover += im.handoff.size();
+    leftover += static_cast<std::int64_t>(im.handoff.size());
     im.handoff.clear();
   }
-  srv_.open_conns_.fetch_sub(leftover, std::memory_order_relaxed);
+  m.connections.add(-leftover);
   im.conns.clear();
-  {
-    MutexLock lk(&im.stats_mu);
-    im.stats.connections = 0;
-  }
 }
 
 }  // namespace spinn::net

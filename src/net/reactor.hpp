@@ -1,13 +1,13 @@
 // Reactor: one epoll event-loop worker of the NetServer front-end.
 //
 // Each reactor owns, privately: an epoll set, a wakeup pipe, a resume
-// queue, a handoff queue of freshly-accepted sockets, a shard of the
-// connection map, and a shard of the NetStats counters.  Nothing is shared
-// between reactors except the SessionServer they execute requests against
-// (thread-safe by design) and the NetServer's atomic connection gauges —
-// so N reactors scale the wire pipeline (frame decode, request parsing,
-// `net`-grammar compilation, response formatting) across N cores without a
-// lock on any per-connection hot path.
+// queue, a handoff queue of freshly-accepted sockets and a shard of the
+// connection map.  Nothing is shared between reactors except the
+// SessionServer they execute requests against (thread-safe by design) and
+// the lock-free net.* metrics in its registry — so N reactors scale the
+// wire pipeline (frame decode, request parsing, `net`-grammar compilation,
+// response formatting) across N cores without a lock on any
+// per-connection hot path.
 //
 // Topology: reactor 0 owns the listener; accepted connections are dealt
 // round-robin across all reactors through adopt() (a mutex-guarded handoff
@@ -62,11 +62,6 @@ class Reactor {
   /// reactor's thread); the fd joins this reactor's epoll set at its next
   /// wakeup.
   void adopt(Fd client);
-
-  /// This reactor's counter shard.  `connections` counts this shard's
-  /// live (non-doomed) connections, exact at any instant — not the map
-  /// size, which mid-iteration still holds doomed entries.
-  NetStats stats_shard() const;
 
   /// A cheap cross-thread wake of this reactor, for
   /// SessionServer::set_work_signal under reactor_drives.

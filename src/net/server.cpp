@@ -20,8 +20,23 @@ std::size_t resolve_reactor_count(const NetConfig& cfg) {
 
 }  // namespace
 
+NetServer::Metrics::Metrics(obs::Registry& r)
+    : accepted(r.counter("net.accepted")),
+      refused(r.counter("net.refused")),
+      shed_slow(r.counter("net.shed_slow")),
+      shed_flood(r.counter("net.shed_flood")),
+      bytes_in(r.counter("net.bytes_in")),
+      frames_in(r.counter("net.frames_in")),
+      batches(r.counter("net.batches")),
+      bytes_out(r.counter("net.bytes_out")),
+      faults(r.counter("net.faults")),
+      frames_out(r.counter("net.frames_out")),
+      connections(r.gauge("net.connections")),
+      reactors(r.gauge("net.reactors")),
+      request_ns(r.histogram("net.request_ns")) {}
+
 NetServer::NetServer(const NetConfig& cfg)
-    : cfg_(cfg), sessions_(cfg.session) {
+    : cfg_(cfg), sessions_(cfg.session), metrics_(sessions_.registry()) {
   std::string error;
   listener_ = listen_loopback(cfg_.port, &port_, &error);
   if (!listener_) {
@@ -43,6 +58,7 @@ NetServer::NetServer(const NetConfig& cfg)
   for (std::size_t i = 0; i < n; ++i) {
     reactors_.push_back(std::make_unique<Reactor>(*this, i));
   }
+  metrics_.reactors.set(static_cast<std::int64_t>(n));
   if (cfg_.reactor_drives) {
     // Embedded submissions must wake the (single) reactor's epoll wait;
     // the hook's shared Wakeup keeps the signal safe through any
@@ -64,26 +80,15 @@ void NetServer::stop() {
 }
 
 NetStats NetServer::stats() const {
-  // Shards are summed one lock at a time (never two shard locks held at
-  // once), so this nests safely under a reactor answering `netstats` from
-  // inside its own loop.
-  NetStats out;
-  for (const auto& r : reactors_) {
-    const NetStats s = r->stats_shard();
-    out.accepted += s.accepted;
-    out.refused += s.refused;
-    out.shed_slow += s.shed_slow;
-    out.shed_flood += s.shed_flood;
-    out.frames_in += s.frames_in;
-    out.frames_out += s.frames_out;
-    out.batches += s.batches;
-    out.faults += s.faults;
-    out.bytes_in += s.bytes_in;
-    out.bytes_out += s.bytes_out;
-    out.connections += s.connections;
-  }
-  out.reactors = reactors_.size();
-  return out;
+  // A braced list is read in field order: frames before bytes (see Metrics).
+  const Metrics& m = metrics_;
+  return NetStats{m.accepted.value(),  m.refused.value(),
+                  m.shed_slow.value(), m.shed_flood.value(),
+                  m.frames_in.value(), m.frames_out.value(),
+                  m.batches.value(),   m.faults.value(),
+                  m.bytes_in.value(),  m.bytes_out.value(),
+                  static_cast<std::size_t>(m.connections.value()),
+                  static_cast<std::size_t>(m.reactors.value())};
 }
 
 }  // namespace spinn::net

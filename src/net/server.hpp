@@ -84,6 +84,8 @@ struct NetConfig {
   server::ServerConfig session;
 };
 
+/// Read-only snapshot of the transport's registry rows (net.*), for the
+/// `netstats` verb and embedders.
 struct NetStats {
   std::uint64_t accepted = 0;
   std::uint64_t refused = 0;        // over max_connections
@@ -96,9 +98,7 @@ struct NetStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::size_t connections = 0;      // currently open (live, non-doomed)
-  /// Reactor threads contributing to this aggregate (0 in a single shard —
-  /// only NetServer::stats() fills it in).
-  std::size_t reactors = 0;
+  std::size_t reactors = 0;         // reactor threads serving
 };
 
 class NetServer {
@@ -124,7 +124,7 @@ class NetServer {
   /// Number of reactor threads actually running (cfg.reactors resolved).
   std::size_t reactor_count() const { return reactors_.size(); }
 
-  /// Aggregate of every reactor's counter shard.
+  /// Snapshot of the net.* rows in the session server's registry.
   NetStats stats() const;
 
   /// Stop accepting, drop every connection, join the reactors.  Sessions
@@ -135,8 +135,30 @@ class NetServer {
  private:
   friend class Reactor;
 
+  /// The net.* rows in the session server's registry, updated lock-free by
+  /// every reactor.  Declaration order is registration order: each bytes
+  /// counter comes (and is incremented) before its frames counter, so a
+  /// scrape, reading in reverse, never sees a frame without its bytes.
+  struct Metrics {
+    explicit Metrics(obs::Registry& r);
+    obs::Counter& accepted;
+    obs::Counter& refused;
+    obs::Counter& shed_slow;
+    obs::Counter& shed_flood;
+    obs::Counter& bytes_in;
+    obs::Counter& frames_in;
+    obs::Counter& batches;
+    obs::Counter& bytes_out;
+    obs::Counter& faults;
+    obs::Counter& frames_out;
+    obs::Gauge& connections;  // + at accept, − at shed; caps accepts
+    obs::Gauge& reactors;
+    obs::Histogram& request_ns;
+  };
+
   NetConfig cfg_;
   server::SessionServer sessions_;
+  Metrics metrics_;
   std::uint16_t port_ = 0;
   Fd listener_;
   std::atomic<bool> stopping_{false};
@@ -144,10 +166,6 @@ class NetServer {
   /// callback's id names a connection unambiguously whichever reactor
   /// shard it lives in.
   std::atomic<std::uint64_t> next_conn_{1};
-  /// Live connections across all shards, maintained by the reactors
-  /// (adopt ++, shed --); the accept path checks it against
-  /// cfg_.max_connections without touching any shard's map.
-  std::atomic<std::size_t> open_conns_{0};
   /// Round-robin dealing cursor for accepted connections.
   std::atomic<std::size_t> next_reactor_{0};
   Mutex stop_mu_;  // serialises the joins across concurrent stop() calls

@@ -2,6 +2,13 @@
 
 namespace spinn::server {
 
+EnginePool::EnginePool(const EnginePoolConfig& cfg, obs::Registry& metrics)
+    : cfg_(cfg),
+      metrics_(metrics),
+      created_(metrics.counter("server.engines.created")),
+      reused_(metrics.counter("server.engines.reused")),
+      idle_count_(metrics.gauge("server.engines.idle")) {}
+
 EnginePool::Lease EnginePool::acquire(const sim::EngineConfig& cfg) {
   std::unique_ptr<sim::ISimulationEngine> engine;
   {
@@ -10,14 +17,15 @@ EnginePool::Lease EnginePool::acquire(const sim::EngineConfig& cfg) {
       if (same_request(idle_[i].cfg, cfg)) {
         engine = std::move(idle_[i].engine);
         idle_.erase(idle_.begin() + static_cast<std::ptrdiff_t>(i));
-        ++reused_;
+        idle_count_.set(static_cast<std::int64_t>(idle_.size()));
+        reused_.inc();
         break;
       }
     }
-    if (!engine) ++created_;
+    if (!engine) created_.inc();
   }
   // The borrower reseeds (see header); the construction seed is a placeholder.
-  if (!engine) engine = sim::make_engine(cfg, 1);
+  if (!engine) engine = sim::make_engine(cfg, 1, metrics_);
   return Lease(this, cfg, std::move(engine));
 }
 
@@ -36,11 +44,12 @@ void EnginePool::give_back(const sim::EngineConfig& cfg,
   // Concurrent returns may briefly overshoot max_idle by the number of
   // racing give_backs; acquire() drains it back down.
   idle_.push_back(Idle{cfg, std::move(engine)});
+  idle_count_.set(static_cast<std::int64_t>(idle_.size()));
 }
 
 EnginePool::Stats EnginePool::stats() const {
-  MutexLock lk(&mu_);
-  return Stats{created_, reused_, idle_.size()};
+  return Stats{created_.value(), reused_.value(),
+               static_cast<std::size_t>(idle_count_.value())};
 }
 
 }  // namespace spinn::server

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 
 namespace spinn::server {
@@ -27,8 +28,9 @@ struct EnginePoolConfig {
 
 class EnginePool {
  public:
-  explicit EnginePool(const EnginePoolConfig& cfg = EnginePoolConfig{})
-      : cfg_(cfg) {}
+  /// Pool counters (server.engines.*) and the engines it builds report
+  /// into `metrics`, which must outlive the pool.
+  EnginePool(const EnginePoolConfig& cfg, obs::Registry& metrics);
 
   EnginePool(const EnginePool&) = delete;
   EnginePool& operator=(const EnginePool&) = delete;
@@ -82,12 +84,13 @@ class EnginePool {
   /// so the lease itself never pays a redundant reset pass.
   Lease acquire(const sim::EngineConfig& cfg) SPINN_EXCLUDES(mu_);
 
+  /// Read-only snapshot of the pool's registry rows.
   struct Stats {
     std::uint64_t created = 0;  // engines constructed
     std::uint64_t reused = 0;   // acquisitions served from the idle list
     std::size_t idle = 0;       // engines currently pooled
   };
-  Stats stats() const SPINN_EXCLUDES(mu_);
+  Stats stats() const;
 
  private:
   friend class Lease;
@@ -107,10 +110,12 @@ class EnginePool {
   };
 
   EnginePoolConfig cfg_;
-  mutable Mutex mu_;
+  obs::Registry& metrics_;
+  obs::Counter& created_;
+  obs::Counter& reused_;
+  obs::Gauge& idle_count_;  // idle_.size(), set under mu_
+  Mutex mu_;
   std::vector<Idle> idle_ SPINN_GUARDED_BY(mu_);
-  std::uint64_t created_ SPINN_GUARDED_BY(mu_) = 0;
-  std::uint64_t reused_ SPINN_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace spinn::server

@@ -2,8 +2,9 @@
 
 namespace spinn::server {
 
-SessionScheduler::SessionScheduler(std::uint32_t workers, TimeNs slice)
-    : slice_(slice) {
+SessionScheduler::SessionScheduler(std::uint32_t workers, TimeNs slice,
+                                   obs::Registry& metrics)
+    : slice_(slice), depth_(metrics.gauge("server.queue_depth")) {
   workers_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
     workers_.emplace_back([this] { worker_main(); });
@@ -18,6 +19,7 @@ void SessionScheduler::submit(const std::shared_ptr<Session>& session) {
   {
     MutexLock lk(&mu_);
     ready_.push_back(session);
+    depth_.add(1);
     hook = submit_hook_;
   }
   cv_.notify_one();
@@ -34,12 +36,8 @@ std::shared_ptr<Session> SessionScheduler::pop() {
   if (ready_.empty()) return nullptr;
   auto s = ready_.front();
   ready_.pop_front();
+  depth_.add(-1);
   return s;
-}
-
-std::size_t SessionScheduler::depth() const {
-  MutexLock lk(&mu_);
-  return ready_.size();
 }
 
 bool SessionScheduler::drive() {
@@ -51,6 +49,7 @@ bool SessionScheduler::drive() {
     {
       MutexLock lk(&mu_);
       ready_.push_back(s);
+      depth_.add(1);
     }
     cv_.notify_one();
   } else {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/registry.hpp"
 #include "server/session.hpp"
 
 namespace spinn::server {
@@ -23,8 +24,11 @@ namespace spinn::server {
 class SessionScheduler {
  public:
   /// `workers` may be 0: nothing is serviced until drive() is called —
-  /// deterministic mode for tests.
-  SessionScheduler(std::uint32_t workers, TimeNs slice);
+  /// deterministic mode for tests.  The ready-queue length is the
+  /// `server.queue_depth` gauge in `metrics` (a sustained non-zero depth
+  /// means the workers are saturated).
+  SessionScheduler(std::uint32_t workers, TimeNs slice,
+                   obs::Registry& metrics);
   ~SessionScheduler();
 
   SessionScheduler(const SessionScheduler&) = delete;
@@ -45,11 +49,6 @@ class SessionScheduler {
   /// loop body, exposed for 0-worker deterministic operation.
   bool drive() SPINN_EXCLUDES(mu_);
 
-  /// Sessions currently sitting in the ready queue (telemetry: the
-  /// `server.queue_depth` gauge; a sustained non-zero depth means the
-  /// workers are saturated).
-  std::size_t depth() const SPINN_EXCLUDES(mu_);
-
   /// Stop and join the workers.  Queued sessions keep their pending work;
   /// the server tears them down afterwards.
   void stop() SPINN_EXCLUDES(mu_);
@@ -59,7 +58,8 @@ class SessionScheduler {
   std::shared_ptr<Session> pop() SPINN_EXCLUDES(mu_);
 
   const TimeNs slice_;
-  mutable Mutex mu_;
+  obs::Gauge& depth_;  // ready_.size(), updated under mu_
+  Mutex mu_;
   CondVar cv_;
   std::deque<std::shared_ptr<Session>> ready_ SPINN_GUARDED_BY(mu_);
   std::function<void()> submit_hook_ SPINN_GUARDED_BY(mu_);

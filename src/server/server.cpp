@@ -3,7 +3,21 @@
 namespace spinn::server {
 
 SessionServer::SessionServer(const ServerConfig& cfg)
-    : cfg_(cfg), pool_(cfg.pool), scheduler_(cfg.workers, cfg.slice) {}
+    : cfg_(cfg),
+      opened_(registry_.counter("server.opened")),
+      rejected_(registry_.counter("server.rejected")),
+      rejected_cost_(registry_.counter("server.rejected_cost")),
+      closed_(registry_.counter("server.closed")),
+      evicted_(registry_.counter("server.evicted")),
+      resident_(registry_.gauge("server.resident")),
+      cost_resident_(registry_.gauge("server.cost_resident")),
+      queue_depth_(registry_.gauge("server.queue_depth")),
+      session_metrics_(registry_),
+      pool_(cfg.pool, registry_),
+      scheduler_(cfg.workers, cfg.slice, registry_) {
+  registry_.gauge("server.cost_budget")
+      .set(static_cast<std::int64_t>(cfg.cost_budget));
+}
 
 SessionServer::~SessionServer() {
   // Stop workers first so no slice is in flight, then tear sessions down
@@ -30,8 +44,7 @@ SessionId SessionServer::open_and_run(const SessionSpec& spec,
 SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
                                std::string* error) {
   if (!validate(spec, error)) {
-    MutexLock lk(&mu_);
-    ++stats_.rejected;
+    rejected_.inc();
     return kInvalidSession;
   }
   const std::uint64_t cost = admission_cost(spec, initial_run);
@@ -42,8 +55,8 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
   {
     MutexLock lk(&mu_);
     if (cfg_.cost_budget > 0 && cost > cfg_.cost_budget) {
-      ++stats_.rejected;
-      ++stats_.rejected_cost;
+      rejected_.inc();
+      rejected_cost_.inc();
       if (error != nullptr) {
         // Name the size term: a client whose net was shed needs to know
         // whether to shrink the machine, the connectivity or the declared
@@ -73,7 +86,7 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
       return reject_locked(/*over_budget=*/false, cost, error);
     }
     if (cfg_.cost_budget > 0 &&
-        resident_cost_ - idle_cost + cost > cfg_.cost_budget) {
+        resident_cost_locked() - idle_cost + cost > cfg_.cost_budget) {
       return reject_locked(/*over_budget=*/true, cost, error);
     }
     // Evict until both the count cap and the cost budget admit the new
@@ -85,11 +98,11 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
     bool admitted = true;
     while (sessions_.size() >= cfg_.max_sessions ||
            (cfg_.cost_budget > 0 &&
-            resident_cost_ + cost > cfg_.cost_budget)) {
+            resident_cost_locked() + cost > cfg_.cost_budget)) {
       std::shared_ptr<Session> victim = evict_one_locked();
       if (!victim) {
         reject_locked(cfg_.cost_budget > 0 &&
-                          resident_cost_ + cost > cfg_.cost_budget,
+                          resident_cost_locked() + cost > cfg_.cost_budget,
                       cost, error);
         admitted = false;
         break;
@@ -98,10 +111,11 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
     }
     if (admitted) {
       const SessionId id = next_id_++;
-      session = std::make_shared<Session>(id, spec, pool_);
+      session = std::make_shared<Session>(id, spec, pool_, session_metrics_);
       sessions_[id] = Entry{session, ++touch_clock_, cost};
-      resident_cost_ += cost;
-      ++stats_.opened;
+      resident_.set(static_cast<std::int64_t>(sessions_.size()));
+      cost_resident_.add(static_cast<std::int64_t>(cost));
+      opened_.inc();
     }
   }
   // Tear the victims down now (engines back to the pool), outside mu_ —
@@ -119,12 +133,12 @@ SessionId SessionServer::admit(const SessionSpec& spec, TimeNs initial_run,
 
 SessionId SessionServer::reject_locked(bool over_budget, std::uint64_t cost,
                                        std::string* error) {
-  ++stats_.rejected;
-  if (over_budget) ++stats_.rejected_cost;
+  rejected_.inc();
+  if (over_budget) rejected_cost_.inc();
   if (error != nullptr) {
     *error = over_budget
                  ? "cost budget exhausted: " +
-                       std::to_string(resident_cost_) + "/" +
+                       std::to_string(resident_cost_locked()) + "/" +
                        std::to_string(cfg_.cost_budget) +
                        " in use, session needs " + std::to_string(cost) +
                        ", not enough idle to evict"
@@ -147,8 +161,9 @@ std::shared_ptr<Session> SessionServer::evict_one_locked() {
   }
   if (victim == sessions_.end()) return nullptr;
   std::shared_ptr<Session> s = victim->second.session;
-  resident_cost_ -= victim->second.cost;
+  cost_resident_.add(-static_cast<std::int64_t>(victim->second.cost));
   sessions_.erase(victim);
+  resident_.set(static_cast<std::int64_t>(sessions_.size()));
   // Tombstone from the pre-close snapshot; the caller closes the session
   // once mu_ is released (close fires idle callbacks that may re-enter
   // the server).
@@ -156,7 +171,7 @@ std::shared_ptr<Session> SessionServer::evict_one_locked() {
   st.state = SessionState::Closed;
   st.evicted = true;
   remember_locked(st);
-  ++stats_.evicted;
+  evicted_.inc();
   return s;
 }
 
@@ -242,8 +257,9 @@ bool SessionServer::close(SessionId id) {
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return false;
     s = it->second.session;
-    resident_cost_ -= it->second.cost;
+    cost_resident_.add(-static_cast<std::int64_t>(it->second.cost));
     sessions_.erase(it);
+    resident_.set(static_cast<std::int64_t>(sessions_.size()));
   }
   SessionStatus st = s->status();
   const bool first = s->close(false);
@@ -251,8 +267,8 @@ bool SessionServer::close(SessionId id) {
   {
     MutexLock lk(&mu_);
     remember_locked(st);
-    ++stats_.closed;
   }
+  closed_.inc();
   return first;
 }
 
@@ -263,14 +279,16 @@ void SessionServer::set_work_signal(std::function<void()> fn) {
 }
 
 ServerStats SessionServer::stats() const {
-  MutexLock lk(&mu_);
-  ServerStats st = stats_;
-  st.resident = sessions_.size();
-  st.cost_resident = resident_cost_;
-  st.cost_budget = cfg_.cost_budget;
-  st.queue_depth = scheduler_.depth();
-  st.engines = pool_.stats();
-  return st;
+  return ServerStats{opened_.value(),
+                     rejected_.value(),
+                     rejected_cost_.value(),
+                     closed_.value(),
+                     evicted_.value(),
+                     static_cast<std::size_t>(resident_.value()),
+                     static_cast<std::uint64_t>(cost_resident_.value()),
+                     cfg_.cost_budget,
+                     static_cast<std::size_t>(queue_depth_.value()),
+                     pool_.stats()};
 }
 
 }  // namespace spinn::server

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/registry.hpp"
 #include "server/engine_pool.hpp"
 #include "server/scheduler.hpp"
 #include "server/session.hpp"
@@ -55,6 +56,8 @@ struct ServerConfig {
   EnginePoolConfig pool;
 };
 
+/// Read-only snapshot of the server's registry rows (server.*), for the
+/// `stats` verb and embedders.
 struct ServerStats {
   std::uint64_t opened = 0;
   std::uint64_t rejected = 0;
@@ -143,7 +146,11 @@ class SessionServer {
   /// cheap and non-reentrant (a pipe write, not a poll()).
   void set_work_signal(std::function<void()> fn);
 
-  ServerStats stats() const SPINN_EXCLUDES(mu_);
+  ServerStats stats() const;
+
+  /// This server's metrics: server.*, sim.* and fault.* rows (and net.*
+  /// when a NetServer fronts it).
+  obs::Registry& registry() { return registry_; }
 
  private:
   std::shared_ptr<Session> find_and_touch(SessionId id) SPINN_EXCLUDES(mu_);
@@ -161,7 +168,23 @@ class SessionServer {
   std::shared_ptr<Session> evict_one_locked() SPINN_REQUIRES(mu_);
   void remember_locked(const SessionStatus& st) SPINN_REQUIRES(mu_);
 
+  /// Resident cost (the admission state itself, published as the
+  /// server.cost_resident gauge); read and written under mu_.
+  std::uint64_t resident_cost_locked() const SPINN_REQUIRES(mu_) {
+    return static_cast<std::uint64_t>(cost_resident_.value());
+  }
+
+  obs::Registry registry_;  // first: outlives all that report into it
   ServerConfig cfg_;
+  obs::Counter& opened_;
+  obs::Counter& rejected_;
+  obs::Counter& rejected_cost_;  // of rejected_: over the cost budget
+  obs::Counter& closed_;         // client closes (eviction counted apart)
+  obs::Counter& evicted_;
+  obs::Gauge& resident_;         // sessions_.size(), set under mu_
+  obs::Gauge& cost_resident_;
+  obs::Gauge& queue_depth_;      // maintained by scheduler_
+  const SessionMetrics session_metrics_;
   EnginePool pool_;
   SessionScheduler scheduler_;
 
@@ -174,11 +197,9 @@ class SessionServer {
     std::uint64_t cost = 0;  // admission_cost at open, fixed for life
   };
   std::map<SessionId, Entry> sessions_ SPINN_GUARDED_BY(mu_);
-  std::uint64_t resident_cost_ SPINN_GUARDED_BY(mu_) = 0;
   /// Final status of closed/evicted sessions, so a client polling a
   /// just-evicted id gets "closed, evicted" rather than "unknown".
   std::map<SessionId, SessionStatus> tombstones_ SPINN_GUARDED_BY(mu_);
-  ServerStats stats_ SPINN_GUARDED_BY(mu_);
 };
 
 }  // namespace spinn::server

@@ -9,25 +9,6 @@
 
 namespace spinn::server {
 
-namespace {
-
-// Registration (the locked path) happens once, on first use; every later
-// call is a plain reference read.  2s range: build compiles a whole
-// machine, TTFS spans build + first spiking slice.
-obs::Histogram& build_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "server.build_ns", 0, 2'000'000'000, 400);
-  return h;
-}
-
-obs::Histogram& ttfs_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "server.ttfs_ns", 0, 2'000'000'000, 400);
-  return h;
-}
-
-}  // namespace
-
 const char* to_string(SessionState s) {
   switch (s) {
     case SessionState::Pending: return "pending";
@@ -39,10 +20,12 @@ const char* to_string(SessionState s) {
   return "?";
 }
 
-Session::Session(SessionId id, SessionSpec spec, EnginePool& pool)
+Session::Session(SessionId id, SessionSpec spec, EnginePool& pool,
+                 const SessionMetrics& metrics)
     : id_(id),
       spec_(std::move(spec)),
       pool_(pool),
+      metrics_(metrics),
       opened_wall_ns_(WallClock::now_ns()) {
   obs::Tracer::global().instant("session", "session.open", opened_wall_ns_,
                                 "id", id_);
@@ -64,7 +47,7 @@ void Session::build_locked() {
   const std::int64_t t0 = WallClock::now_ns();
   build_impl_locked();
   const std::int64_t dur = WallClock::now_ns() - t0;
-  build_hist().observe(dur);
+  metrics_.build_ns.observe(dur);
   obs::Tracer::global().complete("session", "session.build", t0, dur, "id",
                                  id_);
 }
@@ -75,7 +58,8 @@ void Session::build_impl_locked() {
     lease_ = pool_.acquire(sys_cfg.engine);
     // The borrowed-engine constructor resets the engine under the machine
     // seed, making a pooled engine bit-indistinguishable from a fresh one.
-    system_ = std::make_unique<System>(sys_cfg, *lease_);
+    system_ =
+        std::make_unique<System>(sys_cfg, *lease_, metrics_.registry);
     if (spec_.boot) boot_report_ = system_->boot();
     // The network is retained for the session's life: fault-driven
     // migrations regenerate routing from it against the live placement.
@@ -138,7 +122,7 @@ bool Session::service(TimeNs slice) {
       if (!ttfs_observed_ && system_->spikes().count() + drained_total_ > 0) {
         ttfs_observed_ = true;
         const std::int64_t now = WallClock::now_ns();
-        ttfs_hist().observe(now - opened_wall_ns_);
+        metrics_.ttfs_ns.observe(now - opened_wall_ns_);
         obs::Tracer::global().instant("session", "session.ttfs", now, "id",
                                       id_);
       }

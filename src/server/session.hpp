@@ -65,9 +65,23 @@ struct SessionStatus {
   std::uint64_t spikes_lost = 0;
 };
 
+/// The server-wide handles a session reports through, resolved once by its
+/// SessionServer: the registry its System shares, and two histograms.
+struct SessionMetrics {
+  explicit SessionMetrics(obs::Registry& r)
+      : registry(r),
+        build_ns(r.histogram("server.build_ns")),
+        ttfs_ns(r.histogram("server.ttfs_ns")) {}
+  obs::Registry& registry;
+  obs::Histogram& build_ns;
+  obs::Histogram& ttfs_ns;
+};
+
 class Session {
  public:
-  Session(SessionId id, SessionSpec spec, EnginePool& pool);
+  /// `pool` and `metrics` belong to the owning server and outlive it.
+  Session(SessionId id, SessionSpec spec, EnginePool& pool,
+          const SessionMetrics& metrics);
   ~Session();
 
   Session(const Session&) = delete;
@@ -146,6 +160,7 @@ class Session {
   const SessionId id_;
   const SessionSpec spec_;
   EnginePool& pool_;
+  const SessionMetrics& metrics_;
   /// Wall time at open — the TTFS (time-to-first-spike) epoch.
   const std::int64_t opened_wall_ns_;
 

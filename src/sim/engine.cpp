@@ -5,9 +5,11 @@
 namespace spinn::sim {
 
 std::unique_ptr<ISimulationEngine> make_engine(const EngineConfig& cfg,
-                                               std::uint64_t seed) {
+                                               std::uint64_t seed,
+                                               obs::Registry& metrics) {
   if (cfg.kind == EngineKind::Sharded) {
-    return std::make_unique<ShardedSimulator>(seed, cfg.shards, cfg.threads);
+    return std::make_unique<ShardedSimulator>(seed, cfg.shards, cfg.threads,
+                                              metrics);
   }
   return std::make_unique<SerialEngine>(seed);
 }

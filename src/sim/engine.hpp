@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace spinn::sim {
@@ -145,7 +146,9 @@ class SerialEngine final : public ISimulationEngine {
 
 /// Build an engine from config; `seed` seeds the root context's RNG (and,
 /// for the sharded engine, forks every shard context's stream from it).
+/// The engine reports into `metrics`, which must outlive it.
 std::unique_ptr<ISimulationEngine> make_engine(const EngineConfig& cfg,
-                                               std::uint64_t seed);
+                                               std::uint64_t seed,
+                                               obs::Registry& metrics);
 
 }  // namespace spinn::sim

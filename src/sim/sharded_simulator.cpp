@@ -23,35 +23,17 @@ std::uint32_t resolve_count(std::uint32_t requested) {
   return hw > 0 ? hw : 1;
 }
 
-// Window/barrier/merge accounting — the shard-imbalance surface the
-// reactor-scaling roadmap items read.  Registration happens once on first
-// window; the window loop then only touches lock-free references.
-obs::Counter& windows_metric() {
-  static obs::Counter& c = obs::Registry::global().counter("sim.windows");
-  return c;
-}
-obs::Histogram& window_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.window_wall_ns", 0, 100'000'000, 1000);
-  return h;
-}
-obs::Histogram& barrier_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.barrier_wall_ns", 0, 100'000'000, 1000);
-  return h;
-}
-obs::Histogram& merge_hist() {
-  static obs::Histogram& h = obs::Registry::global().histogram(
-      "sim.merge_wall_ns", 0, 100'000'000, 1000);
-  return h;
-}
-
 }  // namespace
 
 Simulator* ShardedSimulator::current_context() { return tls_current_context; }
 
 ShardedSimulator::ShardedSimulator(std::uint64_t seed, std::uint32_t shards,
-                                   std::uint32_t threads) {
+                                   std::uint32_t threads,
+                                   obs::Registry& metrics)
+    : windows_metric_(metrics.counter("sim.windows")),
+      window_hist_(metrics.histogram("sim.window_wall_ns")),
+      barrier_hist_(metrics.histogram("sim.barrier_wall_ns")),
+      merge_hist_(metrics.histogram("sim.merge_wall_ns")) {
   const std::uint32_t n = resolve_count(shards);
   num_threads_ = std::min(resolve_count(threads), n);
   shards_.resize(n);
@@ -300,9 +282,9 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     await_workers();
     parallel_active_ = false;
     const std::int64_t barrier_t1 = WallClock::now_ns();
-    windows_metric().inc();
-    window_hist().observe(barrier_t1 - win_t0);
-    barrier_hist().observe(barrier_t1 - barrier_t0);
+    windows_metric_.inc();
+    window_hist_.observe(barrier_t1 - win_t0);
+    barrier_hist_.observe(barrier_t1 - barrier_t0);
     obs::Tracer::global().complete("engine", "engine.window", win_t0,
                                    barrier_t1 - win_t0, "bound",
                                    static_cast<std::uint64_t>(bound));
@@ -319,7 +301,7 @@ std::uint64_t ShardedSimulator::parallel_run_until(TimeNs until) {
     drain_mailboxes();
     fire_hooks(bound);
     const std::int64_t merge_t1 = WallClock::now_ns();
-    merge_hist().observe(merge_t1 - merge_t0);
+    merge_hist_.observe(merge_t1 - merge_t0);
     obs::Tracer::global().complete("engine", "engine.merge", merge_t0,
                                    merge_t1 - merge_t0);
   }

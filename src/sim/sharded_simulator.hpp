@@ -27,15 +27,17 @@
 #include <vector>
 
 #include "common/thread_annotations.hpp"
+#include "obs/registry.hpp"
 #include "sim/engine.hpp"
 
 namespace spinn::sim {
 
 class ShardedSimulator final : public ISimulationEngine {
  public:
-  /// `shards`/`threads` of 0 mean "one per hardware thread".
+  /// `shards`/`threads` of 0 mean "one per hardware thread".  sim.* rows
+  /// go to `metrics`, which must outlive the engine.
   ShardedSimulator(std::uint64_t seed, std::uint32_t shards,
-                   std::uint32_t threads);
+                   std::uint32_t threads, obs::Registry& metrics);
   ~ShardedSimulator() override;
 
   ShardedSimulator(const ShardedSimulator&) = delete;
@@ -152,6 +154,12 @@ class ShardedSimulator final : public ISimulationEngine {
   bool parallel_active_ = false;
   std::atomic<std::uint64_t> window_executed_{0};
   std::uint64_t windows_opened_ = 0;
+
+  // Window/barrier/merge telemetry: the shard-imbalance surface.
+  obs::Counter& windows_metric_;
+  obs::Histogram& window_hist_;
+  obs::Histogram& barrier_hist_;
+  obs::Histogram& merge_hist_;
 };
 
 }  // namespace spinn::sim

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "obs/registry.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 
@@ -233,7 +234,8 @@ TEST_P(MailboxFuzz, ShardedMergeReproducesSerialOrder) {
                          Config{8, 0}}) {
     SCOPED_TRACE("shards=" + std::to_string(c.shards) +
                  " threads=" + std::to_string(c.threads));
-    ShardedSimulator engine(seed, c.shards, c.threads);
+    obs::Registry metrics;
+    ShardedSimulator engine(seed, c.shards, c.threads, metrics);
     const auto sharded = run_workload(seed, &engine, nullptr);
     EXPECT_EQ(reference, sharded);
   }

@@ -15,6 +15,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -487,7 +488,8 @@ TEST(NetServer, EightConnectionsAcrossFourReactorsBitIdentical) {
 // bit-identical, while a ninth connection scrapes `metrics` and `netstats`
 // as fast as the server will answer.  Run under TSan this is also the
 // data-race proof for the whole telemetry path (sharded counters, seqlock
-// trace rings, grouped stat updates) against live traffic.
+// trace rings, the bytes-before-frames counter protocol) against live
+// traffic.
 TEST(NetServer, EightConnectionsBitIdenticalUnderContinuousScrape) {
   run_concurrent_equivalence(/*depth=*/4, /*reactors=*/4, /*scrape=*/true);
 }
@@ -498,9 +500,20 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
   // One full session round-trip so the request histogram has samples and
   // the server-side gauges have moved off zero.
   ASSERT_EQ(client.request("ping"), "ok");
-  const auto m = parse_metrics_response(client.request("metrics"));
-  // The derived rows are part of the wire contract: scrapers key on these
-  // exact names, so renaming or dropping one is a breaking change.
+  const std::string raw = client.request("metrics");
+  const auto m = parse_metrics_response(raw);
+  // Every row comes from the server's registry, sorted by name.
+  std::vector<std::string> names;
+  for (std::size_t pos = raw.find('\n'); pos != std::string::npos;) {
+    const std::size_t start = pos + 1;
+    pos = raw.find('\n', start);
+    names.push_back(raw.substr(start, raw.find(' ', start) - start));
+  }
+  ASSERT_EQ(names.size(), m.size());
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  // The transport and server rows are part of the wire contract: scrapers
+  // key on these exact names, so renaming or dropping one is a breaking
+  // change.
   for (const char* field :
        {"net.accepted", "net.refused", "net.shed_slow", "net.shed_flood",
         "net.frames_in", "net.frames_out", "net.batches", "net.faults",
@@ -512,8 +525,9 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
         "server.engines.idle"}) {
     EXPECT_TRUE(m.count(field) != 0) << field;
   }
-  // Registry-backed rows ride along: the reactor registers its request
-  // histogram on startup and the ping above put a sample in it.
+  // Histograms expand to count/p50/p95/p99: the server registers the
+  // request histogram at construction and the ping above put a sample in
+  // it.
   ASSERT_TRUE(m.count("net.request_ns.count") != 0);
   EXPECT_GE(m.at("net.request_ns.count"), 1u);
   EXPECT_TRUE(m.count("net.request_ns.p50") != 0);
@@ -524,6 +538,62 @@ TEST(NetServer, MetricsVerbReportsPinnedFieldsAndRegistryRows) {
   const auto m2 = parse_metrics_response(client.request("metrics"));
   EXPECT_GE(m2.at("net.frames_in"), m.at("net.frames_in"));
   EXPECT_GE(m2.at("net.request_ns.count"), m.at("net.request_ns.count"));
+}
+
+// Metrics are per server, not per process: two servers side by side, a
+// whole session lifecycle sent to A only.  B's scrape sees none of it (at
+// most its own scrape in the request histogram), and A's counters equal
+// exactly what A's client sent and received.
+TEST(NetServer, TwoServersInOneProcessKeepSeparateMetrics) {
+  NetServer a;
+  NetServer b;
+  Client ca(a.port());
+  Client cb(b.port());
+  std::uint64_t frames = 0;
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
+  const auto request = [&](const std::string& line) {
+    const std::string resp = ca.request(line);
+    ++frames;
+    bytes_in += kFrameHeader + line.size();
+    bytes_out += kFrameHeader + resp.size();
+    return resp;
+  };
+
+  server::SessionId id = server::kInvalidSession;
+  ASSERT_TRUE(parse_open_id(
+      request(open_line(spec_with("chain", 7, sim::EngineKind::Serial))),
+      &id));
+  const std::string sid = std::to_string(id);
+  EXPECT_EQ(request("run " + sid + " 20"), "ok");
+  EXPECT_EQ(request("wait " + sid),
+            "ok t=" + std::to_string(20 * kMillisecond));
+  Events events;
+  ASSERT_TRUE(parse_spikes(request("drain " + sid), &events));
+  EXPECT_FALSE(events.empty());
+  EXPECT_EQ(request("close " + sid), "ok");
+
+  const auto mb = parse_metrics_response(cb.request("metrics"));
+  EXPECT_EQ(mb.at("server.opened"), 0u);
+  EXPECT_EQ(mb.at("server.closed"), 0u);
+  EXPECT_EQ(mb.at("server.build_ns.count"), 0u);
+  EXPECT_EQ(mb.at("server.ttfs_ns.count"), 0u);
+  EXPECT_LE(mb.at("net.request_ns.count"), 1u);  // its own scrape, at most
+  EXPECT_EQ(mb.at("net.accepted"), 1u);
+
+  const std::string scrape = "metrics";
+  const auto ma = parse_metrics_response(ca.request(scrape));
+  EXPECT_EQ(ma.at("server.opened"), 1u);
+  EXPECT_EQ(ma.at("server.closed"), 1u);
+  EXPECT_EQ(ma.at("server.build_ns.count"), 1u);
+  EXPECT_EQ(ma.at("server.ttfs_ns.count"), 1u);
+  EXPECT_EQ(ma.at("net.request_ns.count"), frames);
+  EXPECT_EQ(ma.at("net.accepted"), 1u);
+  // The scrape itself is decoded (counted in) before it is answered.
+  EXPECT_EQ(ma.at("net.frames_in"), frames + 1);
+  EXPECT_EQ(ma.at("net.bytes_in"), bytes_in + kFrameHeader + scrape.size());
+  EXPECT_EQ(ma.at("net.frames_out"), frames);
+  EXPECT_EQ(ma.at("net.bytes_out"), bytes_out);
 }
 
 TEST(NetServer, TraceVerbControlsTheTracerAndDumpsChromeJson) {

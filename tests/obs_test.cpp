@@ -1,15 +1,18 @@
-// The observability layer's own contract tests: percentile interpolation
-// pins (the one rule every bench and the registry share), counter/gauge/
-// histogram semantics under concurrency, the bounded trace ring, and the
-// tracer's Chrome-JSON dump shape.
+// The observability layer's own contract tests: the exact percentile every
+// bench uses, the histogram's bucket layout and its error bound against
+// that exact rule, counter/gauge/histogram semantics under concurrency,
+// registry scoping, the bounded trace ring, and the tracer's Chrome-JSON
+// dump shape.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/trace_ring.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -51,48 +54,60 @@ TEST(Percentile, OutOfRangePClamps) {
   EXPECT_DOUBLE_EQ(sim::percentile(xs, 1.5), 3.0);
 }
 
-// ---- sim::Histogram percentile pins (bin interpolation) --------------------
+// ---- histogram bucket and interpolation pins -------------------------------
+//
+// Bucket edges, clamped ends and in-bucket interpolation of the one
+// latency histogram.
+
+using Hist = obs::Histogram;
 
 TEST(SimHistogram, EmptyPercentileIsZero) {
-  sim::Histogram h(0.0, 10.0, 10);
-  EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(h.p50(), 0.0);
+  Hist h;
+  EXPECT_EQ(h.percentile(0.5), 0);
+  EXPECT_EQ(h.summary().p50, 0);
 }
 
 TEST(SimHistogram, SingleSampleInterpolatesInsideItsBin) {
-  // One sample in bin [3, 4): p=1.0 lands at the bin's top edge, p->0 at
-  // its bottom edge — the estimate never leaves the occupied bin.
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.5);
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 4.0);
-  EXPECT_GE(h.percentile(0.01), 3.0);
-  EXPECT_LE(h.percentile(0.01), 4.0);
+  // One sample in bucket [3456, 3584): p=1.0 lands at the bucket's top
+  // edge, p->0 at its bottom edge — the estimate never leaves the bucket.
+  Hist h;
+  h.observe(3500);
+  const std::size_t b = Hist::bucket(3500);
+  EXPECT_EQ(Hist::bucket_lo(b), 3456);
+  EXPECT_EQ(h.percentile(1.0), Hist::bucket_lo(b + 1));
+  EXPECT_GE(h.percentile(0.01), Hist::bucket_lo(b));
+  EXPECT_LT(h.percentile(0.01), Hist::bucket_lo(b + 1));
 }
 
 TEST(SimHistogram, BinEdgeSampleCountsInItsBin) {
-  // x exactly on a bin edge belongs to the higher bin ([lo, hi) bins).
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(3.0);
-  EXPECT_EQ(h.counts()[3], 1u);
-  EXPECT_EQ(h.counts()[2], 0u);
+  // A value exactly on a bucket edge belongs to the higher bucket
+  // ([lo, hi) buckets), across the whole layout.
+  for (std::size_t i = 1; i < Hist::kBuckets; ++i) {
+    const std::int64_t lo = Hist::bucket_lo(i);
+    ASSERT_EQ(Hist::bucket(lo), i) << "edge " << lo;
+    ASSERT_EQ(Hist::bucket(lo - 1), i - 1) << "below edge " << lo;
+  }
 }
 
 TEST(SimHistogram, UniformFillHitsExactQuartiles) {
-  sim::Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.p50(), 50.0, 1.0);
-  EXPECT_NEAR(h.p95(), 95.0, 1.0);
-  EXPECT_NEAR(h.p99(), 99.0, 1.0);
+  Hist h;
+  for (int i = 0; i < 100; ++i) h.observe(i * 1000 + 500);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.50)), 50000.0, 50000.0 / 16);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.95)), 95000.0, 95000.0 / 16);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.99)), 99000.0, 99000.0 / 16);
 }
 
 TEST(SimHistogram, OutOfRangeSamplesClampToEndBins) {
-  sim::Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(25.0);
-  EXPECT_EQ(h.counts().front(), 1u);
-  EXPECT_EQ(h.counts().back(), 1u);
-  // Everything above the range saturates at hi rather than extrapolating.
-  EXPECT_DOUBLE_EQ(h.percentile(1.0), 10.0);
+  Hist h;
+  h.observe(-5);
+  h.observe(3 * Hist::kMax);
+  EXPECT_EQ(Hist::bucket(-5), 0u);
+  EXPECT_EQ(Hist::bucket(3 * Hist::kMax), Hist::kBuckets - 1);
+  EXPECT_EQ(h.count(), 2u);
+  EXPECT_EQ(h.percentile(0.25), 0);
+  // Everything above the range saturates at the top edge rather than
+  // extrapolating.
+  EXPECT_EQ(h.percentile(1.0), Hist::kMax);
 }
 
 // ---- obs::Counter / Gauge / Histogram --------------------------------------
@@ -128,47 +143,57 @@ TEST(ObsGauge, LastWriteWins) {
   EXPECT_EQ(g.value(), -5);
 }
 
+TEST(ObsGauge, AddMovesBothWays) {
+  obs::Gauge g;
+  g.add(3);
+  g.add(-1);
+  EXPECT_EQ(g.value(), 2);
+  g.add(-5);
+  EXPECT_EQ(g.value(), -3);
+}
+
 TEST(ObsHistogram, EmptyPercentileIsZero) {
-  obs::Histogram h(0, 1000, 100);
+  obs::Histogram h;
   EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.percentile(0.5), 0);
 }
 
 TEST(ObsHistogram, SingleSampleStaysInItsBin) {
-  obs::Histogram h(0, 1000, 100);  // 10-wide bins
+  obs::Histogram h;  // 345 lands in [336, 352)
   h.observe(345);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(h.sum(), 345u);
-  EXPECT_GE(h.percentile(0.5), 340);
-  EXPECT_LE(h.percentile(0.5), 350);
-  EXPECT_GE(h.percentile(0.99), 340);
-  EXPECT_LE(h.percentile(0.99), 350);
+  EXPECT_GE(h.percentile(0.5), 336);
+  EXPECT_LT(h.percentile(0.5), 352);
+  EXPECT_GE(h.percentile(0.99), 336);
+  EXPECT_LE(h.percentile(0.99), 352);
 }
 
 TEST(ObsHistogram, ClampsOutOfRangeObservations) {
-  obs::Histogram h(0, 1000, 10);
+  obs::Histogram h;
   h.observe(-50);
-  h.observe(5000);
+  h.observe(obs::Histogram::kMax + 5000);
   EXPECT_EQ(h.count(), 2u);
   // The negative sample contributes 0 to the sum (sum is of clamped-at-0
   // magnitudes), the high one its real value.
-  EXPECT_EQ(h.sum(), 5000u);
-  EXPECT_EQ(h.percentile(1.0), 1000);  // saturates at hi
+  EXPECT_EQ(h.sum(), static_cast<std::uint64_t>(obs::Histogram::kMax + 5000));
+  EXPECT_EQ(h.percentile(1.0), obs::Histogram::kMax);  // saturates
 }
 
 TEST(ObsHistogram, PercentilesOrdered) {
-  obs::Histogram h(0, 10000, 1000);
+  obs::Histogram h;
   for (int i = 0; i < 1000; ++i) h.observe(i * 10);
   EXPECT_LE(h.percentile(0.50), h.percentile(0.95));
   EXPECT_LE(h.percentile(0.95), h.percentile(0.99));
-  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 5000.0, 100.0);
+  EXPECT_NEAR(static_cast<double>(h.percentile(0.5)), 5000.0, 5000.0 / 16);
 }
 
 TEST(ObsHistogram, SummaryMatchesIndividualPercentiles) {
   // summary() is the scrape path (one snapshot for all three
   // percentiles); with no concurrent writers it must agree exactly with
   // three percentile() calls.
-  obs::Histogram h(0, 10000, 1000);
+  obs::Histogram h;
   EXPECT_EQ(h.summary().count, 0u);
   EXPECT_EQ(h.summary().p99, 0);
   for (int i = 0; i < 1000; ++i) h.observe(i * 10);
@@ -179,27 +204,77 @@ TEST(ObsHistogram, SummaryMatchesIndividualPercentiles) {
   EXPECT_EQ(s.p99, h.percentile(0.99));
 }
 
+TEST(ObsHistogram, LayoutBoundsEveryBucketToOneSixteenth) {
+  using H = obs::Histogram;
+  EXPECT_EQ(H::kBuckets, 528u);
+  EXPECT_EQ(H::bucket_lo(H::kBuckets), std::int64_t{1} << 36);
+  for (std::size_t i = 0; i < H::kBuckets; ++i) {
+    const std::int64_t lo = H::bucket_lo(i);
+    const std::int64_t width = H::bucket_lo(i + 1) - lo;
+    ASSERT_GE(width, 1) << "bucket " << i;
+    if (i < 16) {
+      EXPECT_EQ(lo, static_cast<std::int64_t>(i));  // exact 0..15 ns
+      EXPECT_EQ(width, 1);
+    } else {
+      ASSERT_LE(16 * width, lo) << "bucket " << i << " wider than lo/16";
+    }
+  }
+}
+
+// Every decade from 10 ns to 10 s: 1000 samples uniform over [d, 2d), and
+// the histogram's p50/p95/p99 within 1/16 of the exact R-7 percentile.
+// The last range is the probe that exposed the old per-site bins: 1000
+// time-to-first-spike samples of 30-50 us read p50 = 2 500 000 ns through
+// 5 ms bins.
+TEST(ObsHistogram, EveryDecadeWithinOneSixteenthOfExact) {
+  struct Range {
+    std::int64_t lo, width;
+  };
+  std::vector<Range> ranges;
+  for (std::int64_t d = 10; d <= 10'000'000'000; d *= 10) {
+    ranges.push_back({d, d});
+  }
+  ranges.push_back({30'000, 20'001});
+  Rng rng(2026);
+  for (const Range& r : ranges) {
+    SCOPED_TRACE("samples in [" + std::to_string(r.lo) + ", " +
+                 std::to_string(r.lo + r.width) + ") ns");
+    obs::Histogram h;
+    std::vector<double> exact;
+    for (int i = 0; i < 1000; ++i) {
+      const auto x = r.lo + static_cast<std::int64_t>(rng.uniform_int(
+                                static_cast<std::uint64_t>(r.width)));
+      h.observe(x);
+      exact.push_back(static_cast<double>(x));
+    }
+    for (const double p : {0.50, 0.95, 0.99}) {
+      const double want = sim::percentile(exact, p);
+      EXPECT_NEAR(static_cast<double>(h.percentile(p)), want, want / 16)
+          << "p" << p * 100;
+    }
+  }
+}
+
 // ---- obs::Registry ---------------------------------------------------------
 
 TEST(ObsRegistry, FindOrCreateReturnsStableReferences) {
-  auto& reg = obs::Registry::global();
+  obs::Registry reg;
   obs::Counter& a = reg.counter("test.registry.counter");
   obs::Counter& b = reg.counter("test.registry.counter");
   EXPECT_EQ(&a, &b);
-  obs::Histogram& ha = reg.histogram("test.registry.hist", 0, 100, 10);
-  obs::Histogram& hb = reg.histogram("test.registry.hist", 0, 999, 77);
-  EXPECT_EQ(&ha, &hb);  // re-registration keeps the original range
-  EXPECT_EQ(hb.hi(), 100);
+  obs::Histogram& ha = reg.histogram("test.registry.hist");
+  obs::Histogram& hb = reg.histogram("test.registry.hist");
+  EXPECT_EQ(&ha, &hb);
 }
 
 TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
-  auto& reg = obs::Registry::global();
+  obs::Registry reg;
   reg.counter("test.rows.b").inc(2);
   reg.counter("test.rows.a").inc(1);
   reg.gauge("test.rows.g").set(5);
-  reg.histogram("test.rows.h", 0, 100, 10).observe(50);
+  reg.histogram("test.rows.h").observe(50);
   const auto rows = reg.rows();
-  ASSERT_FALSE(rows.empty());
+  ASSERT_EQ(rows.size(), 7u);
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LT(rows[i - 1].first, rows[i].first) << "rows must be sorted";
   }
@@ -218,6 +293,55 @@ TEST(ObsRegistry, RowsSortedAndHistogramsExpand) {
   EXPECT_NE(find("test.rows.h.p50"), nullptr);
   EXPECT_NE(find("test.rows.h.p95"), nullptr);
   EXPECT_NE(find("test.rows.h.p99"), nullptr);
+}
+
+// The scrape-order protocol the transport's torn-total guarantee rests on:
+// a writer increments `first` (registered first) before `second`, and a
+// scrape, reading in reverse registration order, never sees `second` ahead
+// of `first` — with no lock shared between writer and scraper.
+TEST(ObsRegistry, ScrapeNeverSeesALaterIncrementWithoutAnEarlierOne) {
+  obs::Registry reg;
+  obs::Counter& first = reg.counter("test.order.z_first");
+  // Histograms registered in between keep each scrape busy between its
+  // two counter reads, so a wrong read order would show at once.
+  for (int i = 0; i < 8; ++i) reg.histogram("test.order.h" + std::to_string(i));
+  obs::Counter& second = reg.counter("test.order.a_second");
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      first.inc();
+      second.inc();
+    }
+  });
+  while (second.value() == 0) std::this_thread::yield();
+  int torn = 0;
+  for (int scrape = 0; scrape < 2000; ++scrape) {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+    for (const auto& [name, value] : reg.rows()) {
+      if (name == "test.order.z_first") a = value;
+      if (name == "test.order.a_second") b = value;
+    }
+    if (b > a) ++torn;
+  }
+  stop = true;
+  writer.join();
+  EXPECT_EQ(torn, 0);
+}
+
+// One name, one kind: registering a name again as another kind is a
+// programming error, not a second row under the same name.
+TEST(ObsRegistry, KindClashThrowsAtRegistration) {
+  obs::Registry reg;
+  reg.counter("test.clash").inc(3);
+  EXPECT_THROW(reg.gauge("test.clash"), std::logic_error);
+  EXPECT_THROW(reg.histogram("test.clash"), std::logic_error);
+  reg.gauge("test.level");
+  EXPECT_THROW(reg.counter("test.level"), std::logic_error);
+  const auto rows = reg.rows();
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], (std::pair<std::string, std::uint64_t>{"test.clash", 3}));
+  EXPECT_EQ(rows[1].first, "test.level");
 }
 
 // ---- TraceRing -------------------------------------------------------------

@@ -558,7 +558,8 @@ TEST(CostAdmission, NotifyIdleFiresOnceWorkDrains) {
 TEST(EnginePoolStress, ConcurrentAcquireReleaseChurn) {
   EnginePoolConfig pool_cfg;
   pool_cfg.max_idle = 4;
-  EnginePool pool(pool_cfg);
+  obs::Registry metrics;
+  EnginePool pool(pool_cfg, metrics);
   constexpr int kThreads = 8;
   constexpr int kIterations = 40;
 

@@ -323,14 +323,15 @@ TEST(ShardedEquivalence, ResetEngineIsBitIdenticalToFresh) {
 
     const Fingerprint fresh = run_case(second, 31u, ec);
 
-    auto engine = sim::make_engine(ec, 99u);
+    obs::Registry metrics;
+    auto engine = sim::make_engine(ec, 99u, metrics);
     {
       // Drive a full unrelated scenario through the engine first...
-      System warmup(make_config(first, 99u, ec), *engine);
+      System warmup(make_config(first, 99u, ec), *engine, metrics);
       first.scenario(warmup);
     }
     // ...then rebuild the target scenario on the same (reset) engine.
-    System sys(make_config(second, 31u, ec), *engine);
+    System sys(make_config(second, 31u, ec), *engine, metrics);
     second.scenario(sys);
     EXPECT_EQ(fresh, fingerprint(sys));
   }

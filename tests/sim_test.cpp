@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "obs/registry.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 
@@ -139,27 +140,37 @@ TEST(Summary, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
+// The latency histogram (obs::Histogram, the one binned-percentile class):
+// exact small buckets, clamped ends, and monotone interpolated percentiles.
 TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bin 0
-  h.add(9.5);   // bin 9
-  h.add(-5.0);  // clamped to bin 0
-  h.add(50.0);  // clamped to bin 9
-  EXPECT_EQ(h.counts()[0], 2u);
-  EXPECT_EQ(h.counts()[9], 2u);
-  EXPECT_EQ(h.summary().count(), 4u);
+  using H = obs::Histogram;
+  H h;
+  h.observe(0);           // exact bucket 0
+  h.observe(9);           // exact bucket 9
+  h.observe(-5);          // clamped to bucket 0
+  h.observe(4 * H::kMax); // clamped to the last bucket
+  EXPECT_EQ(H::bucket(0), 0u);
+  EXPECT_EQ(H::bucket(9), 9u);
+  EXPECT_EQ(H::bucket(-5), 0u);
+  EXPECT_EQ(H::bucket(4 * H::kMax), H::kBuckets - 1);
+  EXPECT_EQ(h.count(), 4u);
+  // Half the samples sit in bucket 0, so the lower quartile stays inside
+  // it; the top saturates at the layout's upper edge rather than
+  // extrapolating.
+  EXPECT_EQ(h.percentile(0.25), 0);
+  EXPECT_EQ(h.percentile(1.0), H::kMax);
 }
 
 TEST(Histogram, PercentileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add(i % 100 + 0.5);
-  const double p10 = h.percentile(0.10);
-  const double p50 = h.percentile(0.50);
-  const double p90 = h.percentile(0.90);
+  obs::Histogram h;
+  for (int i = 0; i < 1000; ++i) h.observe((i % 100) * 1000 + 500);
+  const auto p10 = static_cast<double>(h.percentile(0.10));
+  const auto p50 = static_cast<double>(h.percentile(0.50));
+  const auto p90 = static_cast<double>(h.percentile(0.90));
   EXPECT_LT(p10, p50);
   EXPECT_LT(p50, p90);
-  EXPECT_NEAR(p50, 50.0, 2.0);
-  EXPECT_NEAR(p90, 90.0, 2.0);
+  EXPECT_NEAR(p50, 50000.0, 50000.0 / 16);
+  EXPECT_NEAR(p90, 90000.0, 90000.0 / 16);
 }
 
 /// Determinism property: identical seeds yield identical event interleaving.
